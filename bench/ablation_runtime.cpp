@@ -86,13 +86,12 @@ int main() {
   // Small-message engine (docs/perf.md): per-peer SEND coalescing packs
   // protocol messages into shared wire SENDs, doorbell batching posts runs of
   // WRs with one call, and PayloadBuf keeps Tx/Rx payloads out of the heap.
-  std::printf("\n(e) small-message coalescing — docs/perf.md, default on\n"
+  std::printf("\n(e) small-message coalescing — docs/perf.md, default 32\n"
               "%-12s%12s%12s%12s%12s%12s%12s\n", "max_frames", "Mops/s", "sends",
               "coalesced", "batchposts", "pool_hits", "pool_miss");
-  for (uint32_t frames : {0u, 2u, 8u, 32u}) {  // 0 = coalescing disabled
+  for (uint32_t frames : {1u, 2u, 8u, 32u}) {  // 1 = one message per wire SEND
     rt::ClusterConfig cfg = bench_cfg(2);
-    cfg.coalesce_enabled = frames > 0;
-    if (frames > 0) cfg.coalesce_max_frames = frames;
+    cfg.coalesce_max_frames = frames;
     const net::PayloadPoolStats before = net::payload_pool_stats();
     const Result r = sweep(cfg);
     const net::PayloadPoolStats after = net::payload_pool_stats();

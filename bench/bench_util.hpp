@@ -45,8 +45,9 @@ inline rt::ClusterConfig bench_cfg(uint32_t nodes) {
   cfg.fabric_latency_ns = env_u64("DARRAY_BENCH_LAT_NS", 1000);  // ~2 µs RTT, as the paper
   cfg.cachelines_per_region = 512;
   // Before/after switch for the small-message engine (docs/perf.md): the
-  // off-config reproduces the pre-coalescing wire behaviour exactly.
-  cfg.coalesce_enabled = env_u64("DARRAY_BENCH_COALESCE", 1) != 0;
+  // off-config caps batches at one frame, so every message is its own wire
+  // SEND in the plain format (doorbell batching stays on).
+  if (env_u64("DARRAY_BENCH_COALESCE", 1) == 0) cfg.coalesce_max_frames = 1;
   return cfg;
 }
 

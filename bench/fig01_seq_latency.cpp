@@ -53,7 +53,8 @@ double bcl_seq_ns(uint32_t nodes) {
 }
 
 // --json: record the distributed rows (the only ones the message path can
-// move) for both coalesce configs, off first as the pre-engine baseline.
+// move) for both coalesce configs, off (one frame per wire SEND) first as
+// the baseline.
 int json_main() {
   JsonReport report("fig01_seq_latency", true);
   const uint32_t dist_nodes = max_nodes();

@@ -86,8 +86,9 @@ void panel(const char* title, Op op, const std::vector<uint64_t>& node_counts) {
 }
 
 // --json: DArray throughput at the largest node count per op, for both
-// coalesce configs (off first = pre-engine baseline). The largest point has
-// the most inter-node protocol traffic, so it is where coalescing shows.
+// coalesce configs (off = one frame per wire SEND, first as the baseline).
+// The largest point has the most inter-node protocol traffic, so it is where
+// coalescing shows.
 int json_main() {
   JsonReport report("fig13_inter_node_scaling", true);
   const uint32_t nodes = max_nodes();

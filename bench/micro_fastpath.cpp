@@ -151,8 +151,8 @@ BENCHMARK(BM_DArrayWlockUnlock);
 // --- --json mode: small-message engine throughput ----------------------------
 // Raw two-node comm-layer pair (no runtime on top), so the numbers isolate
 // the per-message Tx/Rx software cost the coalescing engine attacks. The
-// coalesce-off config reproduces the pre-coalescing engine's wire behaviour
-// and serves as the recorded baseline.
+// coalesce-off config caps batches at one frame (one plain wire SEND per
+// message, doorbell batching still on) and serves as the recorded baseline.
 
 // One fabric + two comm layers; dispatch at node 1 counts (flood) or echoes
 // back (pingpong), dispatch at node 0 counts replies.
@@ -167,7 +167,7 @@ struct CommPairBench {
 
   explicit CommPairBench(bool coalesce, bool echo_mode) : echo(echo_mode) {
     cfg.num_nodes = 2;
-    cfg.coalesce_enabled = coalesce;
+    if (!coalesce) cfg.coalesce_max_frames = 1;
     d0 = fabric.create_device(0);
     d1 = fabric.create_device(1);
     c0 = std::make_unique<net::CommLayer>(0, 2, cfg, d0, [this](net::RpcMessage&&) {
@@ -377,7 +377,7 @@ int json_main() {
   const int msgs = static_cast<int>(bench::env_u64("DARRAY_BENCH_MSGS", 30000));
   const int rtts = static_cast<int>(bench::env_u64("DARRAY_BENCH_RTTS", 2000));
 
-  // Baseline first (coalesce_off ≡ pre-coalescing engine), then current.
+  // Baseline first (coalesce_off: one frame per wire SEND), then current.
   for (const bool coalesce : {false, true}) {
     const std::string cfg = coalesce ? "coalesce_on" : "coalesce_off";
     report.measure(cfg, "smallmsg_flood", "Mops/s", [&] { return flood_mops(coalesce, msgs); });

@@ -38,9 +38,9 @@ struct ClusterConfig {
   // --- small-message engine (docs/perf.md) ----------------------------------
   // Per-peer SEND coalescing: the Tx thread packs every protocol message it
   // finds queued for the same peer into one wire SEND (kBatch framing) and
-  // rings the NIC doorbell once per peer per drain pass. Off restores the
-  // one-SEND-per-message pre-coalescing path exactly.
-  bool coalesce_enabled = true;
+  // rings the NIC doorbell once per peer per drain pass. A one-frame batch
+  // goes out in the plain single-message format, so 1 sends one wire SEND
+  // per message (doorbell batching stays on).
   uint32_t coalesce_max_frames = 32;   // frames per wire batch (cap)
   // Deadline cutoff: an open batch older than this is flushed even while the
   // drain pass is still finding work, so a latency-sensitive singleton is
@@ -150,8 +150,7 @@ struct ClusterConfig {
     if (selective_signal_interval > qp_depth)
       return "selective_signal_interval must not exceed qp_depth (the CQ could "
              "never retire a full unsignaled run)";
-    if (coalesce_enabled && coalesce_max_frames == 0)
-      return "coalesce_max_frames must be > 0 when coalescing is enabled";
+    if (coalesce_max_frames == 0) return "coalesce_max_frames must be > 0";
     if (rendezvous_enabled && rendezvous_threshold_bytes == 0)
       return "rendezvous_threshold_bytes must be > 0 when rendezvous is "
              "enabled (a zero threshold would route empty transfers through "

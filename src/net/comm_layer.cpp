@@ -62,6 +62,32 @@ namespace {
 size_t compute_max_msg_bytes(const ClusterConfig& cfg) {
   return sizeof(MsgHeader) + size_t{cfg.chunk_elems} * sizeof(OpFlushEntry);
 }
+
+// Tells the runtime a data WRITE's source cacheline may be recycled.
+void release_source(std::atomic<uint32_t>* posted_flag) {
+  if (posted_flag == nullptr) return;
+  posted_flag->store(1, std::memory_order_release);
+  posted_flag->notify_all();
+}
+
+// Parks a comm thread with nothing to do: until `bell` moves past `snap` when
+// no timed work is pending (due == ~0), else for `due` ns. sleep_for has a
+// scheduler-quantum floor far above microsecond-scale link latencies, so
+// short waits busy-poll instead.
+constexpr uint64_t kSpinBelowNs = 20'000;
+void park(Doorbell& bell, uint32_t snap, uint64_t due, obs::DutyCycle& duty) {
+  if (due == 0) return;
+  if (due < kSpinBelowNs) {
+    cpu_relax();
+    return;
+  }
+  const uint64_t t0 = duty.park_begin();
+  if (due == ~0ull)
+    bell.wait_change(snap);
+  else
+    std::this_thread::sleep_for(std::chrono::nanoseconds(due));
+  duty.park_end(t0);
+}
 }  // namespace
 
 CommLayer::CommLayer(uint32_t node_id, uint32_t num_nodes, const ClusterConfig& cfg,
@@ -305,47 +331,30 @@ uint32_t CommLayer::acquire_send_buffer() {
     reclaim_send_buffers();
     pump_retries(now_ns());
     if (!send_free_.empty()) break;
-    uint64_t due = send_cq_.next_due_in();
-    const uint64_t rdue = retry_due_in(now_ns());
-    if (rdue < due) due = rdue;
-    if (due == ~0ull) {
-      const uint64_t t0 = tx_duty_.park_begin();
-      tx_bell_.wait_change(snap);
-      tx_duty_.park_end(t0);
-    } else if (due > 0) {
-      // sleep_for has a scheduler-quantum floor far above microsecond-scale
-      // link latencies, so short waits busy-poll.
-      if (due < 20'000) {
-        cpu_relax();
-      } else {
-        const uint64_t t0 = tx_duty_.park_begin();
-        std::this_thread::sleep_for(std::chrono::nanoseconds(due));
-        tx_duty_.park_end(t0);
-      }
-    }
+    park(tx_bell_, snap, tx_due_in(), tx_duty_);
   }
   const uint32_t buf = send_free_.back();
   send_free_.pop_back();
   return buf;
 }
 
-void CommLayer::post_entry(uint32_t peer, Outstanding e) {
-  rdma::QueuePair* qp = qp_to_peer_[peer];
+rdma::SendWr CommLayer::wr_for(const Outstanding& e) {
   rdma::SendWr wr;
   wr.wr_id = e.wr_id;
   wr.opcode = e.op;
-  // READ pull chunks re-read into their original destination slice (an
-  // idempotent replay); everything else replays from its arena buffer.
-  wr.sge = e.op == rdma::Opcode::kRead
-               ? rdma::Sge{e.read_dst, e.len, e.read_lkey}
-               : rdma::Sge{buf_ptr(e.buf), e.len, send_mr_.lkey};
+  wr.sge = e.buf == kNoBuf ? rdma::Sge{e.local, e.len, e.local_lkey}
+                           : rdma::Sge{buf_ptr(e.buf), e.len, send_mr_.lkey};
   wr.remote_addr = e.remote_addr;
   wr.rkey = e.rkey;
-  wr.signaled = true;  // recovery wants prompt retirement, not batching
+  return wr;
+}
+
+void CommLayer::post_entry(uint32_t peer, Outstanding e) {
+  const rdma::SendWr wr = wr_for(e);  // signaled: recovery wants prompt retirement
   obs::trace(obs::Ev::kWrPost, e.trace, static_cast<uint8_t>(e.op),
              static_cast<uint16_t>(node_id_), peer, e.wr_id);
   outstanding_[peer].push_back(std::move(e));
-  const bool ok = qp->post_send(wr);
+  const bool ok = qp_to_peer_[peer]->post_send(wr);
   DARRAY_ASSERT_MSG(ok, "retry post failed local validation");
 }
 
@@ -396,8 +405,9 @@ void CommLayer::pump_retries(uint64_t now) {
   }
 }
 
-uint64_t CommLayer::retry_due_in(uint64_t now) const {
-  uint64_t best = ~0ull;
+uint64_t CommLayer::tx_due_in() {
+  const uint64_t now = now_ns();
+  uint64_t best = send_cq_.next_due_in();
   for (uint32_t peer = 0; peer < num_nodes_; ++peer) {
     const auto& rec = recovery_[peer];
     if (rec.moved.empty() && rec.retry.empty()) continue;
@@ -408,59 +418,49 @@ uint64_t CommLayer::retry_due_in(uint64_t now) const {
   return best;
 }
 
-uint32_t CommLayer::stage_send_msg(TxRequest& req) {
-  const uint32_t buf = acquire_send_buffer();
-  std::byte* p = buf_ptr(buf);
-  req.hdr.src_node = static_cast<uint16_t>(node_id_);
-  req.hdr.payload_len = static_cast<uint32_t>(req.payload.size());
-  std::memcpy(p, &req.hdr, sizeof(MsgHeader));
-  if (!req.payload.empty())
-    std::memcpy(p + sizeof(MsgHeader), req.payload.data(), req.payload.size());
-  return buf;
+CommLayer::Outstanding CommLayer::data_entry(const TxRequest& req, uint64_t now) const {
+  Outstanding w;
+  w.len = req.data_len;
+  w.op = rdma::Opcode::kWrite;
+  w.remote_addr = req.data_remote_addr;
+  w.rkey = req.data_rkey;
+  w.deadline_ns = now + cfg_.comm_deadline_ns;
+  w.trace = req.hdr.trace;
+  w.msg_class = kMsgClassDataWrite;
+  w.local = req.data_src;
+  w.local_lkey = req.data_lkey;
+  w.posted_flag = req.posted_flag;
+  return w;
 }
 
-void CommLayer::stage_data_chunks(TxRequest& req, uint64_t now,
-                                  std::deque<Outstanding>& out) {
-  // Chunked to the arena buffer size so payloads larger than one buffer
-  // (eager fallback of a NAKed rendezvous) survive chaos staging; each chunk
-  // is an independent replayable WRITE to its own remote slice.
+template <class Out>
+void CommLayer::capture_write(const Outstanding& w, Out& out) {
+  // Each chunk is an independent replayable WRITE to its own remote slice.
   const uint32_t max_chunk = static_cast<uint32_t>(max_msg_bytes_);
-  for (uint32_t off = 0; off < req.data_len; off += max_chunk) {
-    const uint32_t n = std::min(max_chunk, req.data_len - off);
-    Outstanding e;
+  for (uint32_t off = 0; off < w.len; off += max_chunk) {
+    Outstanding e = w;
     e.buf = acquire_send_buffer();
-    e.len = n;
-    e.op = rdma::Opcode::kWrite;
-    e.remote_addr = req.data_remote_addr + off;
-    e.rkey = req.data_rkey;
-    e.deadline_ns = now + cfg_.comm_deadline_ns;
-    e.trace = req.hdr.trace;
-    e.msg_class = kMsgClassDataWrite;
-    std::memcpy(buf_ptr(e.buf), req.data_src + off, n);
+    e.len = std::min(max_chunk, w.len - off);
+    e.remote_addr = w.remote_addr + off;
+    e.local = nullptr;
+    e.posted_flag = nullptr;
+    std::memcpy(buf_ptr(e.buf), w.local + off, e.len);
     out.push_back(std::move(e));
   }
-  // Payload fully captured: the source cacheline may be recycled.
-  if (req.posted_flag) {
-    req.posted_flag->store(1, std::memory_order_release);
-    req.posted_flag->notify_all();
-  }
+  release_source(w.posted_flag);
 }
 
 CommLayer::Outstanding CommLayer::make_send_entry(TxRequest& req, uint64_t now) {
+  req.hdr.src_node = static_cast<uint16_t>(node_id_);
+  req.hdr.payload_len = static_cast<uint32_t>(req.payload.size());
   Outstanding e;
-  e.buf = stage_send_msg(req);
-  e.len = static_cast<uint32_t>(sizeof(MsgHeader) + req.payload.size());
-  e.op = rdma::Opcode::kSend;
+  e.buf = acquire_send_buffer();
+  e.len = static_cast<uint32_t>(
+      write_frame(buf_ptr(e.buf), req.hdr, req.payload.data(), req.payload.size()));
   e.deadline_ns = now + cfg_.comm_deadline_ns;
   e.trace = req.hdr.trace;
   e.msg_class = static_cast<uint8_t>(req.hdr.type);
   return e;
-}
-
-void CommLayer::stage_request(TxRequest& req, uint64_t now) {
-  auto& rec = recovery_[req.dst];
-  if (req.has_data()) stage_data_chunks(req, now, rec.retry);
-  rec.retry.push_back(make_send_entry(req, now));
 }
 
 // --- coalescing Tx engine ----------------------------------------------------
@@ -468,29 +468,25 @@ void CommLayer::stage_request(TxRequest& req, uint64_t now) {
 void CommLayer::seal_batch(uint32_t peer) {
   TxBatch& b = txb_[peer];
   if (b.buf == kNoBuf) return;
-  PendingWr p;
+  Outstanding e;
   std::byte* base = buf_ptr(b.buf);
   if (b.frames == 1) {
     // Singleton: strip the reserved envelope slot so the wire image is
     // byte-identical to the uncoalesced format.
     std::memmove(base, base + sizeof(MsgHeader), b.bytes - sizeof(MsgHeader));
-    p.e.len = b.bytes - static_cast<uint32_t>(sizeof(MsgHeader));
+    e.len = b.bytes - static_cast<uint32_t>(sizeof(MsgHeader));
   } else {
     write_batch_header(base, static_cast<uint16_t>(node_id_), b.frames,
                        b.bytes - sizeof(MsgHeader));
-    p.e.len = b.bytes;
+    e.len = b.bytes;
     qp_to_peer_[peer]->fabric().count_coalesced(b.frames);
   }
-  p.e.buf = b.buf;
-  p.e.op = rdma::Opcode::kSend;
-  p.e.frames = static_cast<uint16_t>(b.frames);
-  p.e.deadline_ns = b.open_ns + cfg_.comm_deadline_ns;
-  p.e.trace = b.trace;
-  p.e.msg_class = b.msg_class;
-  p.tracked = true;
-  p.wr.opcode = rdma::Opcode::kSend;
-  p.wr.sge = {base, p.e.len, send_mr_.lkey};
-  b.wrs.push_back(std::move(p));
+  e.buf = b.buf;
+  e.frames = static_cast<uint16_t>(b.frames);
+  e.deadline_ns = b.open_ns + cfg_.comm_deadline_ns;
+  e.trace = b.trace;
+  e.msg_class = b.msg_class;
+  b.wrs.push_back(e);
   b.buf = kNoBuf;
   b.bytes = 0;
   b.frames = 0;
@@ -509,18 +505,7 @@ void CommLayer::append_frame(uint32_t peer, TxRequest& req, uint64_t now) {
   if (sizeof(MsgHeader) + fb > max_msg_bytes_) {
     DARRAY_ASSERT(fb <= max_msg_bytes_);
     seal_batch(peer);
-    PendingWr p;
-    p.e.buf = acquire_send_buffer();
-    p.e.len = static_cast<uint32_t>(fb);
-    p.e.op = rdma::Opcode::kSend;
-    p.e.deadline_ns = now + cfg_.comm_deadline_ns;
-    p.e.trace = req.hdr.trace;
-    p.e.msg_class = static_cast<uint8_t>(req.hdr.type);
-    write_frame(buf_ptr(p.e.buf), req.hdr, req.payload.data(), req.payload.size());
-    p.tracked = true;
-    p.wr.opcode = rdma::Opcode::kSend;
-    p.wr.sge = {buf_ptr(p.e.buf), p.e.len, send_mr_.lkey};
-    txb_[peer].wrs.push_back(std::move(p));
+    txb_[peer].wrs.push_back(make_send_entry(req, now));
     return;
   }
 
@@ -552,7 +537,7 @@ void CommLayer::enqueue_tx(TxRequest& req) {
   // falls through to the eager path below.
   if (req.has_data() && !req.force_eager && cfg_.rendezvous_enabled &&
       req.data_len >= cfg_.rendezvous_threshold_bytes) {
-    if (start_rndz(req, now)) return;
+    if (start_rndz(req)) return;
   }
 
   auto& pc = peer_tx_[peer];
@@ -566,56 +551,23 @@ void CommLayer::enqueue_tx(TxRequest& req) {
   // still sees one FIFO stream.
   if (qp->state() == rdma::QpState::kError || !rec.moved.empty() || !rec.retry.empty()) {
     stage_pending(peer);
-    stage_request(req, now);
+    if (req.has_data()) capture_write(data_entry(req, now), rec.retry);
+    rec.retry.push_back(make_send_entry(req, now));
     return;
   }
 
   if (req.has_data()) {
     // Wire order: frames already packed precede the WRITE, and the WRITE
     // precedes this request's notification SEND — so seal the open batch
-    // before appending the WRITE to the pending run.
+    // before appending the WRITE to the pending run. Under fault injection
+    // the WRITE must be replayable after its source cacheline is recycled,
+    // so capture the payload now; otherwise it stays zero-copy and the
+    // source is released at flush time, once the WR is actually posted.
     seal_batch(peer);
-    if (chaos_) {
-      // Under fault injection the WRITE must be replayable after its source
-      // cacheline is recycled, so stage the payload like a SEND's — chunked
-      // to the arena buffer size (eager fallbacks exceed one buffer).
-      const uint32_t max_chunk = static_cast<uint32_t>(max_msg_bytes_);
-      for (uint32_t off = 0; off < req.data_len; off += max_chunk) {
-        const uint32_t n = std::min(max_chunk, req.data_len - off);
-        PendingWr p;
-        p.e.buf = acquire_send_buffer();
-        p.e.len = n;
-        p.e.op = rdma::Opcode::kWrite;
-        p.e.remote_addr = req.data_remote_addr + off;
-        p.e.rkey = req.data_rkey;
-        p.e.deadline_ns = now + cfg_.comm_deadline_ns;
-        p.e.trace = req.hdr.trace;
-        p.e.msg_class = kMsgClassDataWrite;
-        std::memcpy(buf_ptr(p.e.buf), req.data_src + off, n);
-        p.wr.opcode = rdma::Opcode::kWrite;
-        p.wr.remote_addr = p.e.remote_addr;
-        p.wr.rkey = p.e.rkey;
-        p.wr.sge = {buf_ptr(p.e.buf), n, send_mr_.lkey};
-        p.tracked = true;
-        txb_[peer].wrs.push_back(std::move(p));
-      }
-      // Payload fully captured: the source cacheline may be recycled.
-      if (req.posted_flag) {
-        req.posted_flag->store(1, std::memory_order_release);
-        req.posted_flag->notify_all();
-      }
-    } else {
-      // Zero-copy: the source must stay live until the WR is actually posted,
-      // so the release hook fires at flush time.
-      PendingWr p;
-      p.wr.opcode = rdma::Opcode::kWrite;
-      p.wr.remote_addr = req.data_remote_addr;
-      p.wr.rkey = req.data_rkey;
-      p.wr.sge = {req.data_src, req.data_len, req.data_lkey};
-      p.wr.signaled = false;
-      p.posted_flag = req.posted_flag;
-      txb_[peer].wrs.push_back(std::move(p));
-    }
+    if (chaos_)
+      capture_write(data_entry(req, now), txb_[peer].wrs);
+    else
+      txb_[peer].wrs.push_back(data_entry(req, now));
   }
 
   append_frame(peer, req, now);
@@ -638,34 +590,31 @@ void CommLayer::flush_peer(uint32_t peer, bool seal_open) {
   // outstanding FIFO, then ring the doorbell once with the whole run.
   post_wrs_.clear();
   uint32_t& run = unsignaled_run_[peer];
-  for (PendingWr& p : b.wrs) {
-    p.wr.wr_id = next_wr_id_++;
-    if (p.tracked) {
-      if (p.e.op == rdma::Opcode::kSend) {
+  for (Outstanding& e : b.wrs) {
+    e.wr_id = next_wr_id_++;
+    rdma::SendWr wr = wr_for(e);
+    if (e.zero_copy()) {
+      wr.signaled = false;  // untracked: its posted_flag releases the source
+    } else {
+      if (e.op == rdma::Opcode::kSend) {
         // Selective signaling: request a completion once per interval per QP
         // so the signaled CQE retires the whole unsignaled run behind it.
         // (Errors are always signaled by the fabric.)
-        p.wr.signaled = ++run >= cfg_.selective_signal_interval;
-        if (p.wr.signaled) run = 0;
+        wr.signaled = ++run >= cfg_.selective_signal_interval;
+        if (wr.signaled) run = 0;
       }  // chaos-staged WRITEs stay signaled for prompt retirement
-      p.e.wr_id = p.wr.wr_id;
-      p.e.attempts = 1;
-      obs::trace(obs::Ev::kWrPost, p.e.trace, static_cast<uint8_t>(p.e.op),
-                 static_cast<uint16_t>(node_id_), peer, p.e.wr_id);
-      outstanding_[peer].push_back(p.e);
+      e.attempts = 1;
+      obs::trace(obs::Ev::kWrPost, e.trace, static_cast<uint8_t>(e.op),
+                 static_cast<uint16_t>(node_id_), peer, e.wr_id);
+      outstanding_[peer].push_back(e);
     }
-    post_wrs_.push_back(p.wr);
+    post_wrs_.push_back(wr);
   }
   const bool ok = qp->post_send(std::span<const rdma::SendWr>(post_wrs_));
   DARRAY_ASSERT_MSG(ok, "doorbell-batched post failed local validation");
   // The fabric executes transfers at post time, so zero-copy sources are
   // consumed: release them.
-  for (PendingWr& p : b.wrs) {
-    if (p.posted_flag) {
-      p.posted_flag->store(1, std::memory_order_release);
-      p.posted_flag->notify_all();
-    }
-  }
+  for (const Outstanding& e : b.wrs) release_source(e.posted_flag);
   b.wrs.clear();
   in_flush_ = was_in_flush;
 }
@@ -690,35 +639,14 @@ void CommLayer::stage_pending(uint32_t peer) {
   if (b.wrs.empty()) return;
   const bool was_in_flush = in_flush_;
   in_flush_ = true;
-  auto& rec = recovery_[peer];
-  const uint64_t now = now_ns();
-  for (PendingWr& p : b.wrs) {
-    if (!p.tracked) {
-      // Zero-copy WRITE whose source is still live: capture the payload into
-      // the arena so it can be replayed, then release the source. Chunked to
-      // the arena buffer size (a zero-copy payload can exceed one buffer).
-      const uint32_t max_chunk = static_cast<uint32_t>(max_msg_bytes_);
-      const uint32_t total = p.wr.sge.length;
-      for (uint32_t off = 0; off < total; off += max_chunk) {
-        const uint32_t n = std::min(max_chunk, total - off);
-        Outstanding e;
-        e.buf = acquire_send_buffer();
-        e.len = n;
-        e.op = rdma::Opcode::kWrite;
-        e.remote_addr = p.wr.remote_addr + off;
-        e.rkey = p.wr.rkey;
-        e.deadline_ns = now + cfg_.comm_deadline_ns;
-        e.msg_class = kMsgClassDataWrite;
-        std::memcpy(buf_ptr(e.buf), p.wr.sge.addr + off, n);
-        rec.retry.push_back(std::move(e));
-      }
-      if (p.posted_flag) {
-        p.posted_flag->store(1, std::memory_order_release);
-        p.posted_flag->notify_all();
-      }
-      continue;
-    }
-    rec.retry.push_back(std::move(p.e));
+  auto& retry = recovery_[peer].retry;
+  for (Outstanding& e : b.wrs) {
+    // A zero-copy WRITE's source is still live: capture the payload so the
+    // WRITE can be replayed, which releases the source.
+    if (e.zero_copy())
+      capture_write(e, retry);
+    else
+      retry.push_back(std::move(e));
   }
   b.wrs.clear();
   in_flush_ = was_in_flush;
@@ -726,8 +654,7 @@ void CommLayer::stage_pending(uint32_t peer) {
 
 // --- rendezvous large-message engine (docs/perf.md) ---------------------------
 
-bool CommLayer::start_rndz(TxRequest& req, uint64_t now) {
-  (void)now;
+bool CommLayer::start_rndz(TxRequest& req) {
   const uint16_t dst = req.dst;
   const uint64_t trace = req.hdr.trace;
   // The embedded notification frame is dispatched verbatim by the peer once
@@ -780,10 +707,7 @@ bool CommLayer::start_rndz(TxRequest& req, uint64_t now) {
   w.hdr.txn_id = d.lease_id;
   w.hdr.trace = trace;
   w.payload = std::move(wp);
-  if (cfg_.coalesce_enabled)
-    enqueue_tx(w);
-  else
-    post_one(w);
+  enqueue_tx(w);
   return true;
 }
 
@@ -805,10 +729,7 @@ void CommLayer::finish_lease(uint32_t id, bool completed) {
     rndz_bytes_.fetch_add(req.data_len, std::memory_order_relaxed);
     peer_tx_[req.dst].rndz.fetch_add(req.data_len, std::memory_order_relaxed);
     // The peer's READs are done: the pinned source may finally be recycled.
-    if (req.posted_flag) {
-      req.posted_flag->store(1, std::memory_order_release);
-      req.posted_flag->notify_all();
-    }
+    release_source(req.posted_flag);
   } else {
     // NAK: the peer could not pull. Re-post through the Tx queue with the
     // rendezvous path disabled so the bytes move eagerly.
@@ -884,8 +805,8 @@ void CommLayer::start_pull(RndzJob&& job, uint64_t now) {
     e.len = n;
     e.remote_addr = job.desc.src_addr + off;
     e.rkey = job.desc.src_rkey;
-    e.read_dst = dst + off;
-    e.read_lkey = job.desc.dst_rkey;
+    e.local = dst + off;
+    e.local_lkey = job.desc.dst_rkey;
     e.deadline_ns = now + cfg_.comm_deadline_ns;
     e.trace = job.trace;
     e.msg_class = kMsgClassRndzData;
@@ -897,12 +818,7 @@ void CommLayer::start_pull(RndzJob&& job, uint64_t now) {
     }
     e.attempts = 1;
     e.wr_id = next_wr_id_++;
-    rdma::SendWr wr;
-    wr.wr_id = e.wr_id;
-    wr.opcode = rdma::Opcode::kRead;
-    wr.sge = {e.read_dst, n, e.read_lkey};
-    wr.remote_addr = e.remote_addr;
-    wr.rkey = e.rkey;
+    rdma::SendWr wr = wr_for(e);
     // One signaled completion per pull: the final chunk's CQE retires the
     // whole run (per-QP FIFO). Errors are always signaled by the fabric.
     wr.signaled = e.rndz_last;
@@ -924,14 +840,10 @@ void CommLayer::send_ctl(uint16_t dst, MsgType type, uint32_t lease_id, uint64_t
   req.hdr.type = type;
   req.hdr.txn_id = lease_id;
   req.hdr.trace = trace;
-  if (cfg_.coalesce_enabled)
-    enqueue_tx(req);
-  else
-    post_one(req);
+  enqueue_tx(req);
 }
 
-bool CommLayer::process_rndz_actions(uint64_t now) {
-  (void)now;
+bool CommLayer::process_rndz_actions() {
   if (rndz_done_.empty() && rndz_nak_.empty()) return false;
   // Swap the lists out first: the sends below can re-enter reclaim and append.
   std::vector<uint32_t> done;
@@ -957,121 +869,10 @@ bool CommLayer::process_rndz_actions(uint64_t now) {
   return true;
 }
 
-// --- legacy immediate-post path (cfg.coalesce_enabled == false) --------------
-
-void CommLayer::post_one(TxRequest& req) {
-  rdma::QueuePair* qp = qp_to_peer_[req.dst];
-  DARRAY_ASSERT(qp != nullptr);
-  const uint64_t now = now_ns();
-
-  // Large-message engine: at or above the threshold, negotiate a rendezvous
-  // (zero-copy one-sided pull by the peer) instead of moving bytes eagerly —
-  // unless this request is already an eager fallback. Lease-table exhaustion
-  // falls through to the eager path below.
-  if (req.has_data() && !req.force_eager && cfg_.rendezvous_enabled &&
-      req.data_len >= cfg_.rendezvous_threshold_bytes) {
-    if (start_rndz(req, now)) return;
-  }
-
-  auto& pc = peer_tx_[req.dst];
-  pc.send.fetch_add(sizeof(MsgHeader) + req.payload.size(), std::memory_order_relaxed);
-  if (req.has_data()) pc.write.fetch_add(req.data_len, std::memory_order_relaxed);
-
-  auto& rec = recovery_[req.dst];
-
-  // Recovery in progress for this peer: new requests queue up behind the
-  // replay so the peer still sees one FIFO stream.
-  if (qp->state() == rdma::QpState::kError || !rec.moved.empty() || !rec.retry.empty()) {
-    stage_request(req, now);
-    return;
-  }
-
-  // 1. Optional one-sided data WRITE; FIFO per QP orders it before the SEND.
-  if (req.has_data()) {
-    if (chaos_) {
-      // Under fault injection the WRITE must be replayable after its source
-      // cacheline is recycled, so stage the payload like a SEND's — chunked
-      // to the arena buffer size (eager fallbacks exceed one buffer). A
-      // chunk that draws a fault flushes the rest behind it in order.
-      const uint32_t max_chunk = static_cast<uint32_t>(max_msg_bytes_);
-      for (uint32_t off = 0; off < req.data_len; off += max_chunk) {
-        const uint32_t n = std::min(max_chunk, req.data_len - off);
-        Outstanding e;
-        e.buf = acquire_send_buffer();
-        e.len = n;
-        e.op = rdma::Opcode::kWrite;
-        e.remote_addr = req.data_remote_addr + off;
-        e.rkey = req.data_rkey;
-        e.attempts = 1;
-        e.deadline_ns = now + cfg_.comm_deadline_ns;
-        e.wr_id = next_wr_id_++;
-        e.trace = req.hdr.trace;
-        e.msg_class = kMsgClassDataWrite;
-        std::memcpy(buf_ptr(e.buf), req.data_src + off, n);
-        post_entry(req.dst, std::move(e));
-      }
-      // Payload fully captured (in the arena, even if a chunk just faulted):
-      // the source cacheline may be recycled.
-      if (req.posted_flag) {
-        req.posted_flag->store(1, std::memory_order_release);
-        req.posted_flag->notify_all();
-      }
-      if (qp->state() == rdma::QpState::kError) {
-        // A WRITE chunk drew a fault; the SEND must line up behind the
-        // flushed chunks (already tracked — do not re-stage the data).
-        rec.retry.push_back(make_send_entry(req, now));
-        return;
-      }
-    } else {
-      rdma::SendWr wr;
-      wr.opcode = rdma::Opcode::kWrite;
-      wr.sge = {req.data_src, req.data_len, req.data_lkey};
-      wr.remote_addr = req.data_remote_addr;
-      wr.rkey = req.data_rkey;
-      wr.signaled = false;  // source buffer release is handled via posted_flag
-      wr.wr_id = next_wr_id_++;
-      const bool ok = qp->post_send(wr);
-      DARRAY_ASSERT_MSG(ok, "data WRITE failed local validation");
-      if (req.posted_flag) {
-        req.posted_flag->store(1, std::memory_order_release);
-        req.posted_flag->notify_all();
-      }
-    }
-  }
-
-  // 2. The two-sided protocol message.
-  Outstanding e;
-  e.buf = stage_send_msg(req);
-  e.len = static_cast<uint32_t>(sizeof(MsgHeader) + req.payload.size());
-  e.op = rdma::Opcode::kSend;
-  e.attempts = 1;
-  e.deadline_ns = now + cfg_.comm_deadline_ns;
-  e.wr_id = next_wr_id_++;
-  e.trace = req.hdr.trace;
-  e.msg_class = static_cast<uint8_t>(req.hdr.type);
-
-  rdma::SendWr wr;
-  wr.opcode = rdma::Opcode::kSend;
-  wr.sge = {buf_ptr(e.buf), e.len, send_mr_.lkey};
-  wr.wr_id = e.wr_id;
-  // Selective signaling: request a completion once per interval per QP so the
-  // signaled CQE retires the whole unsignaled run behind it. (Errors are
-  // always signaled by the fabric, so recovery still sees every failure.)
-  uint32_t& run = unsignaled_run_[req.dst];
-  wr.signaled = ++run >= cfg_.selective_signal_interval;
-  if (wr.signaled) run = 0;
-  obs::trace(obs::Ev::kWrPost, e.trace, static_cast<uint8_t>(e.op),
-             static_cast<uint16_t>(node_id_), req.dst, e.wr_id);
-  outstanding_[req.dst].push_back(std::move(e));
-  const bool ok = qp->post_send(wr);
-  DARRAY_ASSERT_MSG(ok, "protocol SEND failed local validation");
-}
-
 void CommLayer::tx_main() {
   char tname[16];
   std::snprintf(tname, sizeof tname, "tx.%u", node_id_);
   obs::register_current_thread(tname);
-  const bool coalesce = cfg_.coalesce_enabled;
   tx_duty_.on_start();
   for (;;) {
     const uint32_t snap = tx_bell_.snapshot();
@@ -1079,13 +880,10 @@ void CommLayer::tx_main() {
     TxRequest req;
     uint32_t drained = 0;
     while (tx_queue_.pop(req)) {
-      if (coalesce)
-        enqueue_tx(req);
-      else
-        post_one(req);
+      enqueue_tx(req);
       progressed = true;
       // Long drains must not hold frames past the coalescing deadline.
-      if (coalesce && (++drained & 63u) == 0) flush_due(now_ns());
+      if ((++drained & 63u) == 0) flush_due(now_ns());
     }
     // Rendezvous pulls handed over by the Rx thread (only the Tx thread may
     // post, and a pull is a doorbell-batched run of READ WRs).
@@ -1095,39 +893,22 @@ void CommLayer::tx_main() {
       progressed = true;
     }
     // Drain pass over: ring each peer's doorbell once with everything staged.
-    if (coalesce) flush_all();
+    flush_all();
     reclaim_send_buffers();
     pump_retries(now_ns());
     // Completed/abandoned pulls surface here, at top level only (never nested
     // inside a flush): dispatch + FIN, or NAK. The control sends they stage
     // go out in a final flush pass.
-    if (process_rndz_actions(now_ns())) {
+    if (process_rndz_actions()) {
       progressed = true;
-      if (coalesce) flush_all();
+      flush_all();
       reclaim_send_buffers();
     }
     if (stop_.load(std::memory_order_acquire)) break;
-    if (!progressed) {
-      // Completions may be held back by the latency model, and retries wait
-      // out their backoff window; neither rings the bell again, so bound the
-      // park by whichever is due first.
-      uint64_t due = send_cq_.next_due_in();
-      const uint64_t rdue = retry_due_in(now_ns());
-      if (rdue < due) due = rdue;
-      if (due == ~0ull) {
-        const uint64_t t0 = tx_duty_.park_begin();
-        tx_bell_.wait_change(snap);
-        tx_duty_.park_end(t0);
-      } else if (due > 0) {
-        if (due < 20'000) {
-          cpu_relax();
-        } else {
-          const uint64_t t0 = tx_duty_.park_begin();
-          std::this_thread::sleep_for(std::chrono::nanoseconds(due));
-          tx_duty_.park_end(t0);
-        }
-      }
-    }
+    // Completions may be held back by the latency model, and retries wait
+    // out their backoff window; neither rings the bell again, so bound the
+    // park by whichever is due first.
+    if (!progressed) park(tx_bell_, snap, tx_due_in(), tx_duty_);
   }
   tx_duty_.on_stop();
 }
@@ -1222,25 +1003,12 @@ void CommLayer::rx_main() {
     }
     if (stop_.load(std::memory_order_acquire)) break;
     if (!progressed) {
+      // Completions may be held back by the latency model. Parked buffers
+      // wait on the Tx thread's QP reset, which rings no bell here — poll
+      // for it.
       uint64_t due = recv_cq_.next_due_in();
-      // Parked buffers wait on the Tx thread's QP reset, which rings no bell
-      // here — poll for it.
-      if (any_parked && due > 20'000) due = 20'000;
-      if (due == ~0ull) {
-        const uint64_t t0 = rx_duty_.park_begin();
-        rx_bell_.wait_change(snap);
-        rx_duty_.park_end(t0);
-      } else if (due > 0) {
-        // Latency model holdback. sleep_for has a scheduler-quantum floor far
-        // above microsecond-scale link latencies, so short waits busy-poll.
-        if (due < 20'000) {
-          cpu_relax();
-        } else {
-          const uint64_t t0 = rx_duty_.park_begin();
-          std::this_thread::sleep_for(std::chrono::nanoseconds(due));
-          rx_duty_.park_end(t0);
-        }
-      }
+      if (any_parked && due > kSpinBelowNs) due = kSpinBelowNs;
+      park(rx_bell_, snap, due, rx_duty_);
     }
   }
   rx_duty_.on_stop();

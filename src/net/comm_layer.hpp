@@ -5,13 +5,15 @@
 // QP count is nodes² × 1, independent of the number of application/runtime
 // threads — the paper's n²·c (c = networking threads) instead of n²·t.
 //
-// Small-message engine (docs/perf.md): with cfg.coalesce_enabled the Tx
-// thread packs every protocol message it finds queued for the same peer into
-// one wire SEND (kBatch framing, bytes/frames/deadline cutoffs) and defers
+// Small-message engine (docs/perf.md): the Tx thread has one transmit path.
+// It packs every protocol message it finds queued for the same peer into one
+// wire SEND (kBatch framing, bytes/frames/deadline cutoffs) and defers
 // posting so each drain pass rings each peer QP's doorbell once with a span
-// of work requests. The Rx thread unpacks frames in place and dispatches
-// each. Payloads ride in pooled PayloadBufs, so the steady-state Tx/Rx path
-// performs no heap allocation.
+// of work requests. A batch of one frame goes out in the plain single-message
+// format, so cfg.coalesce_max_frames = 1 sends one wire SEND per message. The
+// Rx thread unpacks frames in place and dispatches each. Payloads ride in
+// pooled PayloadBufs, so the steady-state Tx/Rx path performs no heap
+// allocation.
 //
 // Large-message engine (docs/perf.md): payload-bearing requests at or above
 // cfg.rendezvous_threshold_bytes switch from the eager path to a rendezvous:
@@ -160,11 +162,12 @@ class CommLayer {
  private:
   static constexpr uint32_t kNoBuf = ~0u;
 
-  // One posted (or to-be-posted) WR the Tx thread may have to replay. SENDs
-  // always reference a send-arena buffer (a coalesced batch is one entry
-  // covering `frames` protocol messages); WRITEs do too in chaos mode (the
-  // payload is staged so the source cacheline can be recycled immediately),
-  // while outside chaos mode WRITEs stay zero-copy/unsignaled and untracked.
+  // One posted (or to-be-posted) WR. SENDs always reference a send-arena
+  // buffer (a coalesced batch is one entry covering `frames` protocol
+  // messages); WRITEs do too in chaos mode or once recovery stages them (the
+  // payload is captured so the source cacheline can be recycled and the WR
+  // replayed). Outside chaos mode a data WRITE stays zero-copy: it posts
+  // unsignaled straight from its source and is never tracked for replay.
   struct Outstanding {
     uint64_t wr_id = 0;
     uint32_t buf = kNoBuf;      // send-arena buffer index
@@ -181,14 +184,19 @@ class CommLayer {
                                 //   kMsgClassDataWrite for data WRITEs)
     rdma::WcStatus last_status = rdma::WcStatus::kSuccess;
 
-    // Rendezvous READ pulls only: the local destination slice this chunk
-    // lands in (READs have no arena buffer; replay re-reads into the same
-    // slice, which is idempotent), and the pull it belongs to. rndz_last
+    // Entries without an arena buffer post from a local slice instead: a
+    // READ pull chunk's destination (replay re-reads into the same slice,
+    // which is idempotent) or a zero-copy WRITE's source.
+    const std::byte* local = nullptr;
+    uint32_t local_lkey = 0;
+    // Zero-copy WRITEs only: released once the WR is posted or captured.
+    std::atomic<uint32_t>* posted_flag = nullptr;
+    // Rendezvous READ pulls only: the pull this chunk belongs to. rndz_last
     // marks the final (signaled) chunk whose retirement completes the pull.
-    std::byte* read_dst = nullptr;
-    uint32_t read_lkey = 0;
     uint32_t rndz_id = 0;       // key into rndz_pulls_; 0 = not a pull chunk
     bool rndz_last = false;
+
+    bool zero_copy() const { return op == rdma::Opcode::kWrite && buf == kNoBuf; }
   };
 
   // Per-peer recovery state (Tx-private). `moved` receives failed/flushed
@@ -201,20 +209,10 @@ class CommLayer {
     uint64_t next_attempt_ns = 0;
   };
 
-  // A sealed work request awaiting its doorbell-batched post. Tracked
-  // entries (SENDs, chaos-staged WRITEs) enter the outstanding FIFO at post
-  // time; untracked zero-copy WRITEs carry the posted_flag to release their
-  // source once actually posted.
-  struct PendingWr {
-    rdma::SendWr wr;
-    Outstanding e;
-    bool tracked = false;
-    std::atomic<uint32_t>* posted_flag = nullptr;
-  };
-
   // Per-peer Tx coalescing state: the open pack buffer (frames written
   // behind a reserved kBatch-envelope slot) plus sealed-but-unposted WRs for
-  // this drain pass.
+  // this drain pass. Arena-backed WRs enter the outstanding FIFO when posted;
+  // zero-copy WRITEs release their source instead.
   struct TxBatch {
     uint32_t buf = kNoBuf;
     uint32_t bytes = 0;     // used bytes, including the reserved envelope slot
@@ -223,7 +221,7 @@ class CommLayer {
     uint64_t trace = 0;     // first traced frame in the open batch
     uint8_t msg_class = 0;  // class of a single-frame batch (mixed batches
                             //   keep the first frame's class)
-    std::vector<PendingWr> wrs;
+    std::vector<Outstanding> wrs;
   };
 
   // --- rendezvous state -------------------------------------------------------
@@ -268,10 +266,7 @@ class CommLayer {
   // sampled stacks name them (docs/observability.md v5).
   DARRAY_PROFILE_ANCHOR void tx_main();
   DARRAY_PROFILE_ANCHOR void rx_main();
-  // Legacy immediate-post path (coalescing off; byte- and WR-identical to the
-  // pre-coalescing engine).
-  void post_one(TxRequest& req);
-  // Coalescing path: stage the request into the per-peer batch state.
+  // The transmit path: stage a request into the per-peer batch state.
   void enqueue_tx(TxRequest& req);
   void append_frame(uint32_t peer, TxRequest& req, uint64_t now);
   void seal_batch(uint32_t peer);
@@ -279,24 +274,28 @@ class CommLayer {
   void flush_all();
   void flush_due(uint64_t now);
   void stage_pending(uint32_t peer);
-  void stage_request(TxRequest& req, uint64_t now);
-  // Stage the eager data WRITE of `req` into arena-backed entries (chunked to
-  // max_msg_bytes_ so payloads larger than one arena buffer survive chaos
-  // staging) and fire the posted_flag. Appends the entries to `out`.
-  void stage_data_chunks(TxRequest& req, uint64_t now, std::deque<Outstanding>& out);
+  // The eager data WRITE of `req` as a zero-copy entry posting from its source.
+  Outstanding data_entry(const TxRequest& req, uint64_t now) const;
+  // Copy a zero-copy WRITE's payload into replayable arena-backed entries
+  // (chunked to max_msg_bytes_, so payloads larger than one arena buffer
+  // survive), append them to `out` and release the source.
+  template <class Out>
+  void capture_write(const Outstanding& w, Out& out);
   Outstanding make_send_entry(TxRequest& req, uint64_t now);
+  rdma::SendWr wr_for(const Outstanding& e);  // wr_id, opcode, sge, remote
   void post_entry(uint32_t peer, Outstanding e);
   // Rendezvous: sender-side negotiation start. Returns false (leaving `req`
   // intact) when no lease slot is free — the caller falls back to eager.
-  bool start_rndz(TxRequest& req, uint64_t now);
-  // Rendezvous: release lease `id`; returns the parked request if the id was
-  // current. `completed` distinguishes FIN (fire flag, count bytes) from NAK.
+  bool start_rndz(TxRequest& req);
+  // Rendezvous: release lease `id` if it is still current. `completed`
+  // distinguishes FIN (release the source, count bytes) from NAK (re-post
+  // the parked request eagerly).
   void finish_lease(uint32_t id, bool completed);
   // Rendezvous: receiver side (Tx thread). start_pull posts the READ chunks;
   // process_rndz_actions handles completed pulls (dispatch + FIN) and failed
   // ones (NAK) — deferred so they never run nested inside a flush.
   void start_pull(RndzJob&& job, uint64_t now);
-  bool process_rndz_actions(uint64_t now);
+  bool process_rndz_actions();
   void send_ctl(uint16_t dst, MsgType type, uint32_t lease_id, uint64_t trace);
   // Rx-thread intercept for transport-internal rendezvous messages; returns
   // true when the message was consumed (not for the runtime).
@@ -306,10 +305,11 @@ class CommLayer {
   void pump_retries(uint64_t now);
   void fail_entry(uint32_t peer, Outstanding& e, const char* reason);
   void fail(const CommError& err);
-  uint64_t retry_due_in(uint64_t now) const;
+  // Nanoseconds until the Tx thread has timed work: a held-back send
+  // completion or an expiring retry backoff (~0 = none; neither rings the bell).
+  uint64_t tx_due_in();
   uint64_t backoff_ns(uint32_t attempts) const;
   uint32_t acquire_send_buffer();  // parks on the Tx doorbell when exhausted
-  uint32_t stage_send_msg(TxRequest& req);  // copy header+payload into a buffer
   void release_buf(uint32_t buf) {
     if (buf != kNoBuf) send_free_.push_back(buf);
   }

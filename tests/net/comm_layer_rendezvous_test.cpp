@@ -8,6 +8,7 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -299,7 +300,7 @@ TEST(Rendezvous, UnpullableDestinationNaksBackToEagerPath) {
 // pull must re-arm (retried READs) or fall back to eager; either way every
 // transfer's bytes arrive intact before its notification, small-message FIFO
 // is preserved, and nothing is dropped or duplicated.
-void chaos_rendezvous_round_trip(uint64_t seed) {
+void chaos_rendezvous_round_trip(uint64_t seed, uint32_t max_frames) {
   chaos::FaultPlan p;
   p.seed = seed;
   p.p_wc_error = 0.05;
@@ -311,6 +312,7 @@ void chaos_rendezvous_round_trip(uint64_t seed) {
   ClusterConfig base;
   base.rendezvous_threshold_bytes = 32 * 1024;
   base.rendezvous_mtu_bytes = 16 * 1024;  // several READ WRs per pull
+  base.coalesce_max_frames = max_frames;
   RndzHarness h(base, p);
   h.start();
 
@@ -371,9 +373,17 @@ void chaos_rendezvous_round_trip(uint64_t seed) {
   EXPECT_GT(h.fabric.stats().wc_errors, 0u) << "plan should have injected faults";
 }
 
-TEST(RendezvousChaos, Seed1PreservesIntegrityAndFifo) { chaos_rendezvous_round_trip(1); }
-TEST(RendezvousChaos, Seed7PreservesIntegrityAndFifo) { chaos_rendezvous_round_trip(7); }
-TEST(RendezvousChaos, Seed42PreservesIntegrityAndFifo) { chaos_rendezvous_round_trip(42); }
+// Both ends of the coalescing range: one plain SEND per message, and batches.
+void chaos_rendezvous_both_caps(uint64_t seed) {
+  for (const uint32_t frames : {1u, 32u}) {
+    SCOPED_TRACE("coalesce_max_frames=" + std::to_string(frames));
+    chaos_rendezvous_round_trip(seed, frames);
+  }
+}
+
+TEST(RendezvousChaos, Seed1PreservesIntegrityAndFifo) { chaos_rendezvous_both_caps(1); }
+TEST(RendezvousChaos, Seed7PreservesIntegrityAndFifo) { chaos_rendezvous_both_caps(7); }
+TEST(RendezvousChaos, Seed42PreservesIntegrityAndFifo) { chaos_rendezvous_both_caps(42); }
 
 TEST(Rendezvous, DisabledConfigNeverNegotiates) {
   ClusterConfig base;

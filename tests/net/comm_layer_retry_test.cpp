@@ -7,6 +7,7 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "chaos/fault_injector.hpp"
@@ -86,8 +87,17 @@ chaos::FaultPlan flaky_plan(uint64_t seed) {
   return p;
 }
 
-TEST(CommLayerRetry, FaultyLinkStillDeliversEverythingInOrder) {
-  ChaosHarness h(flaky_plan(13));
+// Both ends of the coalescing range: one plain SEND per message, and batches.
+constexpr uint32_t kMaxFramesCases[] = {1, 32};
+
+ClusterConfig with_max_frames(uint32_t frames) {
+  ClusterConfig cfg;
+  cfg.coalesce_max_frames = frames;
+  return cfg;
+}
+
+void deliver_everything_in_order(uint32_t frames) {
+  ChaosHarness h(flaky_plan(13), with_max_frames(frames));
   h.start();
   constexpr int kEach = 400;
   for (int i = 0; i < kEach; ++i) {
@@ -121,10 +131,17 @@ TEST(CommLayerRetry, FaultyLinkStillDeliversEverythingInOrder) {
   EXPECT_EQ(h.c1->dropped_requests(), 0u);
 }
 
-TEST(CommLayerRetry, StagedWriteSurvivesSourceRecycling) {
+TEST(CommLayerRetry, FaultyLinkStillDeliversEverythingInOrder) {
+  for (const uint32_t frames : kMaxFramesCases) {
+    SCOPED_TRACE("coalesce_max_frames=" + std::to_string(frames));
+    deliver_everything_in_order(frames);
+  }
+}
+
+void staged_write_survives_recycling(uint32_t frames) {
   // Under chaos the data WRITE must be replayable after the runtime recycles
   // the source cacheline, so the Tx thread stages the payload.
-  ChaosHarness h(flaky_plan(99));
+  ChaosHarness h(flaky_plan(99), with_max_frames(frames));
   h.start();
   std::vector<std::byte> src(256), dst(256);
   rdma::MemoryRegion ms = h.d0->reg_mr(src.data(), src.size());
@@ -156,6 +173,13 @@ TEST(CommLayerRetry, StagedWriteSurvivesSourceRecycling) {
           << "round " << r << " byte " << i;
   }
   EXPECT_EQ(h.c0->dropped_requests(), 0u);
+}
+
+TEST(CommLayerRetry, StagedWriteSurvivesSourceRecycling) {
+  for (const uint32_t frames : kMaxFramesCases) {
+    SCOPED_TRACE("coalesce_max_frames=" + std::to_string(frames));
+    staged_write_survives_recycling(frames);
+  }
 }
 
 TEST(CommLayerRetry, ExhaustedRetriesSurfaceThroughErrorHandler) {

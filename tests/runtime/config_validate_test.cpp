@@ -56,7 +56,6 @@ TEST(ConfigValidate, EachBadFieldIsNamedInTheMessage) {
   cfg.selective_signal_interval = cfg.qp_depth + 1;
   expect_mentions(cfg, "selective_signal_interval");
   cfg = {};
-  cfg.coalesce_enabled = true;
   cfg.coalesce_max_frames = 0;
   expect_mentions(cfg, "coalesce_max_frames");
   cfg = {};
